@@ -1,5 +1,6 @@
 #include "common/metrics.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cinttypes>
 #include <cstdio>
@@ -118,11 +119,9 @@ double HistogramData::QuantileNs(double q) const {
       if (upper < lower) upper = lower;
       const double frac =
           static_cast<double>(target - cum) / static_cast<double>(buckets[b]);
-      double value = lower + frac * (upper - lower);
-      if (max_ns != 0 && value > static_cast<double>(max_ns)) {
-        value = static_cast<double>(max_ns);
-      }
-      return value;
+      // No quantile exceeds the largest sample, including a max of 0 ns.
+      return std::min(lower + frac * (upper - lower),
+                      static_cast<double>(max_ns));
     }
     cum += buckets[b];
   }

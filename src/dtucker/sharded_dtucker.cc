@@ -75,26 +75,22 @@ struct ShardContext {
   ShardPlan plan;
   Communicator* comm = nullptr;
   double s_inv = 1.0;
-  // Per-phase execution variants (adaptive layer). The gram axis is
-  // ignored here: the sharded Gram is always the exact chunked reduction,
-  // which keeps the cross-rank bitwise-identity contract trivially intact.
-  adaptive::PhaseVariantPlan variants;
+  // DTuckerOptions::variants.qr, forwarded to every orthonormalization.
+  QrVariant qr = QrVariant::kAuto;
   // DTuckerOptions::shard_trailing_updates: sweep-time trailing factor
   // updates and core refresh run on the rank's own Z slab instead of a
   // gathered Z (see ShardedSweep). Identical on every rank, so the
   // branch choice stays in lockstep.
   bool shard_trailing = true;
-  // Eig/qr choices bundled for the replicated small solves.
+  // The qr choice bundled for the replicated small solves.
   SubspaceIterationOptions EigOptions() const {
     SubspaceIterationOptions o;
-    o.solver = variants.eig;
-    o.qr = variants.qr;
+    o.qr = qr;
     return o;
   }
   SubspaceIterationOptions InnerEigOptions() const {
     SubspaceIterationOptions o = kInnerEig;
-    o.solver = variants.eig;
-    o.qr = variants.qr;
+    o.qr = qr;
     return o;
   }
 };
@@ -327,8 +323,7 @@ const std::vector<std::size_t>& RankSliceCounts(const ShardContext& sc,
 Status GatherProjectedCore(const ShardContext& sc, const Matrix& a1,
                            const Matrix& a2, ShardWorkspace* sw) {
   DT_TRACE_SPAN("dtucker.shard.gather_z");
-  BuildProjectedCoreInto(*sc.local, a1, a2, sc.s_inv, &sw->z_local,
-                         sc.variants.carrier);
+  BuildProjectedCoreInto(*sc.local, a1, a2, sc.s_inv, &sw->z_local);
   std::vector<Index> zshape = sc.full_shape;
   zshape[0] = a1.cols();
   zshape[1] = a2.cols();
@@ -436,7 +431,7 @@ Status ShardedTrailingFactorUpdate(const ShardContext& sc,
     const double* src = ut_all.col_data(l);
     for (Index j = 0; j < k; ++j) u.col_data(j)[l] = src[j];
   }
-  (*factors)[2] = QrOrthonormalize(u, sc.variants.qr);
+  (*factors)[2] = QrOrthonormalize(u, sc.qr);
   return Status::OK();
 }
 
@@ -523,7 +518,7 @@ Status ShardedSweep(const ShardContext& sc, const std::vector<Index>& ranks,
     static Histogram& stage_hist = MetricHistogram("dtucker.stage_ns.mode1");
     StageTimer stage_timer(&stage_hist);
     BuildModeOneCarrierInto(*sc.local, (*factors)[1], sc.s_inv,
-                            &sw->ws.carrier, sc.variants.carrier);
+                            &sw->ws.carrier);
     const Index j2 = (*factors)[1].cols();
     std::vector<Index> wshape = sc.full_shape;
     wshape[1] = j2;
@@ -546,7 +541,7 @@ Status ShardedSweep(const ShardContext& sc, const std::vector<Index>& ranks,
     static Histogram& stage_hist = MetricHistogram("dtucker.stage_ns.mode2");
     StageTimer stage_timer(&stage_hist);
     BuildModeTwoCarrierInto(*sc.local, (*factors)[0], sc.s_inv,
-                            &sw->ws.carrier, sc.variants.carrier);
+                            &sw->ws.carrier);
     const Index j1 = (*factors)[0].cols();
     std::vector<Index> wshape = sc.full_shape;
     wshape[0] = i2;
@@ -574,7 +569,7 @@ Status ShardedSweep(const ShardContext& sc, const std::vector<Index>& ranks,
       // Gram reduced through the canonical tree — the full Z is never
       // gathered during sweeps.
       BuildProjectedCoreInto(*sc.local, (*factors)[0], (*factors)[1],
-                             sc.s_inv, &sw->z_local, sc.variants.carrier);
+                             sc.s_inv, &sw->z_local);
       DT_RETURN_NOT_OK(ShardedTrailingFactorUpdate(sc, ranks, factors, sw));
     } else {
       // Replicated fallback (orders >= 4, oversized trailing rank, or
@@ -682,7 +677,7 @@ Result<TuckerDecomposition> ShardedDTuckerFromLocalApproximation(
   sc.full_shape = full_shape;
   sc.plan = plan;
   sc.comm = comm;
-  sc.variants = options.variants;
+  sc.qr = options.variants.qr;
   sc.shard_trailing = options.shard_trailing_updates;
   DT_ASSIGN_OR_RETURN(const double scale, ShardedScale(sc));
   sc.s_inv = 1.0 / scale;  // Exactly 1.0 in the common case.

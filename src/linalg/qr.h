@@ -42,13 +42,11 @@ inline constexpr Index kQrWidePanelMin = 192;
 
 // Which QR implementation a call runs. kAuto is the production default:
 // the size heuristic above (unblocked at or below kQrUnblockedMax,
-// compact-WY blocked beyond). The forced variants exist for the
-// input-adaptive execution layer (dtucker/adaptive/): every variant is a
-// named, individually-dispatchable strategy so the cost-model tuner can
-// pick per workload, and each one is bitwise thread-deterministic on its
-// own. kScalar forces the level-2 reference path (competitive on narrow
-// panels where the compact-WY setup does not amortize); kBlocked forces
-// the level-3 path even on small inputs.
+// compact-WY blocked beyond). Callers pin a forced variant through
+// DTuckerOptions::variants.qr; each one is bitwise thread-deterministic on
+// its own. kScalar forces the level-2 reference path (competitive on
+// narrow panels where the compact-WY setup does not amortize); kBlocked
+// forces the level-3 path even on small inputs.
 enum class QrVariant {
   kAuto,
   kBlocked,

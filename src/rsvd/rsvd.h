@@ -25,9 +25,8 @@ struct RsvdOptions {
   Index oversampling = 5;     // Extra random directions p; sketch uses J+p.
   int power_iterations = 1;   // q; each adds two passes but sharpens decay.
   uint64_t seed = 42;         // Seed for the Gaussian test matrix.
-  // QR strategy for the range-finder/power-loop orthonormalizations (the
-  // adaptive execution layer dispatches this per workload; kAuto is the
-  // production size heuristic).
+  // QR strategy for the range-finder/power-loop orthonormalizations (kAuto
+  // is the production size heuristic).
   QrVariant qr = QrVariant::kAuto;
 };
 

@@ -174,6 +174,19 @@ TEST(HistogramTest, QuantilesAreMonotoneAndClampedToMax) {
   EXPECT_DOUBLE_EQ(HistogramData{}.QuantileNs(0.5), 0.0);
 }
 
+TEST(HistogramTest, AllZeroSamplesReportZeroQuantiles) {
+  // A span faster than the clock's resolution records 0 ns; the bucket
+  // interpolation must not report quantiles above that max of 0.
+  Histogram h;
+  for (int i = 0; i < 5; ++i) h.Record(0);
+  const HistogramData data = h.Snapshot();
+  EXPECT_EQ(data.Count(), 5u);
+  EXPECT_EQ(data.max_ns, 0u);
+  EXPECT_EQ(data.QuantileNs(0.50), 0.0);
+  EXPECT_EQ(data.QuantileNs(0.90), 0.0);
+  EXPECT_EQ(data.QuantileNs(0.99), 0.0);
+}
+
 TEST(HistogramTest, ConcurrentRecordsMergeAcrossShards) {
   Histogram h;
   constexpr int kThreads = 8;
