@@ -70,8 +70,11 @@ struct EngineOptions {
   // self-driving mode it optionally pins the auto-generated rendezvous
   // name (the caller then owns cleanup).
   std::string comm_scratch;
-  // Measure the true reconstruction error after Solve() (O(volume); turn
-  // off for pure-timing runs). File/approximation paths always report the
+  // Measure the true reconstruction error after Solve(): one streamed pass
+  // over X (O(volume) time) that never rebuilds the tensor, so the extra
+  // memory is J_N / I_N of X plus a 512 KiB block per BLAS worker, not a
+  // second copy of X (TuckerDecomposition::RelativeErrorAgainst). Turn off
+  // for pure-timing runs. File/approximation paths always report the
   // compressed-form error from the sweep telemetry instead.
   bool measure_error = true;
 

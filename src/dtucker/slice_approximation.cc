@@ -7,6 +7,7 @@
 #include "common/trace.h"
 #include "linalg/blas.h"
 #include "linalg/gemm_kernel.h"
+#include "tensor/tensor_ops.h"
 
 namespace dtucker {
 
@@ -45,16 +46,19 @@ std::size_t SliceApproximation::ByteSize() const {
   return bytes;
 }
 
-Tensor SliceApproximation::ReconstructDense() const {
-  Tensor out(shape);
-  for (Index l = 0; l < NumSlices(); ++l) {
-    out.SetFrontalSlice(l, slices[static_cast<std::size_t>(l)].Reconstruct());
-  }
-  return out;
-}
-
 double SliceApproximation::RelativeErrorAgainst(const Tensor& x) const {
-  return RelativeError(x, ReconstructDense());
+  DT_CHECK(x.shape() == shape) << "shape mismatch in RelativeErrorAgainst";
+  // One frontal slice U diag(s) V^T at a time into an I1 x I2 scratch,
+  // diffed against the contiguous slice of X it approximates.
+  const Index i1 = shape[0];
+  const Index i2 = shape[1];
+  return StreamedRelativeError(NumSlices(), i1 * i2, [&](Index l, double* y) {
+    const SliceSvd& sl = slices[static_cast<std::size_t>(l)];
+    const Matrix us = sl.UTimesS();
+    GemmRaw(Trans::kNo, Trans::kYes, i1, i2, us.cols(), 1.0, us.data(), i1,
+            sl.v.data(), i2, 0.0, y, i1);
+    return ResidualBlock{x.data() + l * i1 * i2, i1, i1, i2};
+  });
 }
 
 Status SliceApproximation::Validate() const {

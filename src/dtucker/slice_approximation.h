@@ -79,11 +79,10 @@ struct SliceApproximation {
   // footprint reported by experiment E3).
   std::size_t ByteSize() const;
 
-  // Dense reconstruction of the approximated tensor (tests / error
-  // measurement on small problems).
-  Tensor ReconstructDense() const;
-
-  // Relative squared error of the slice approximation against `x`.
+  // Relative squared error of the slice approximation against `x`,
+  // streamed one reconstructed I1 x I2 slice at a time (the dense
+  // approximation is never built); bitwise identical for every
+  // SetBlasThreads() value.
   double RelativeErrorAgainst(const Tensor& x) const;
 
   // Structural consistency: slice count matches the trailing shape, every

@@ -249,18 +249,74 @@ Matrix Kronecker(const Matrix& a, const Matrix& b) {
   return out;
 }
 
-Matrix KhatriRao(const Matrix& a, const Matrix& b) {
-  DT_CHECK_EQ(a.cols(), b.cols()) << "Khatri-Rao column count mismatch";
-  Matrix out = Matrix::Uninitialized(a.rows() * b.rows(), a.cols());
-  const Index brows = b.rows();
-  for (Index j = 0; j < a.cols(); ++j) {
-    double* dst = out.col_data(j);
-    const double* bcol = b.col_data(j);
-    for (Index ia = 0; ia < a.rows(); ++ia, dst += brows) {
-      ScaledCopy(a(ia, j), bcol, dst, brows);
+namespace {
+
+// Adds the block's sum of (x - y)^2 to *num and of x^2 to *den. Four
+// independent accumulators per sum keep the loop vectorizable; their
+// combination order is fixed, so the block's result depends only on its
+// data.
+void AccumulateResidual(const ResidualBlock& blk, const double* y,
+                        double* num, double* den) {
+  double n0 = 0, n1 = 0, n2 = 0, n3 = 0;
+  double d0 = 0, d1 = 0, d2 = 0, d3 = 0;
+  for (Index c = 0; c < blk.cols; ++c) {
+    const double* xc = blk.x + c * blk.ldx;
+    const double* yc = y + c * blk.rows;
+    Index i = 0;
+    for (; i + 4 <= blk.rows; i += 4) {
+      const double e0 = xc[i] - yc[i];
+      const double e1 = xc[i + 1] - yc[i + 1];
+      const double e2 = xc[i + 2] - yc[i + 2];
+      const double e3 = xc[i + 3] - yc[i + 3];
+      n0 += e0 * e0;
+      n1 += e1 * e1;
+      n2 += e2 * e2;
+      n3 += e3 * e3;
+      d0 += xc[i] * xc[i];
+      d1 += xc[i + 1] * xc[i + 1];
+      d2 += xc[i + 2] * xc[i + 2];
+      d3 += xc[i + 3] * xc[i + 3];
+    }
+    for (; i < blk.rows; ++i) {
+      const double e = xc[i] - yc[i];
+      n0 += e * e;
+      d0 += xc[i] * xc[i];
     }
   }
-  return out;
+  *num = (n0 + n1) + (n2 + n3);
+  *den = (d0 + d1) + (d2 + d3);
+}
+
+}  // namespace
+
+double StreamedRelativeError(
+    Index num_blocks, Index scratch_doubles,
+    const std::function<ResidualBlock(Index, double*)>& fill) {
+  DT_TRACE_SPAN("tensor.streamed_error");
+  std::vector<double> num(static_cast<std::size_t>(num_blocks));
+  std::vector<double> den(static_cast<std::size_t>(num_blocks));
+  auto run_blocks = [&](std::size_t begin, std::size_t end) {
+    BlasWorkerScope scope;
+    std::vector<double> scratch(static_cast<std::size_t>(scratch_doubles));
+    for (std::size_t b = begin; b < end; ++b) {
+      const ResidualBlock blk = fill(static_cast<Index>(b), scratch.data());
+      AccumulateResidual(blk, scratch.data(), &num[b], &den[b]);
+    }
+  };
+  ThreadPool* pool = SharedBlasPool();
+  if (pool != nullptr && !InBlasWorker()) {
+    pool->ParallelForRanges(static_cast<std::size_t>(num_blocks),
+                            /*min_grain=*/1, run_blocks);
+  } else {
+    run_blocks(0, static_cast<std::size_t>(num_blocks));
+  }
+  // Fixed-order reduction: ascending block index.
+  double total_num = 0.0, total_den = 0.0;
+  for (std::size_t b = 0; b < num.size(); ++b) {
+    total_num += num[b];
+    total_den += den[b];
+  }
+  return total_den > 0 ? total_num / total_den : 0.0;
 }
 
 }  // namespace dtucker

@@ -1,4 +1,5 @@
-// Tensor algebra: unfoldings, mode-n (TTM) products, Kronecker products.
+// Tensor algebra: unfoldings, mode-n (TTM) products, Kronecker products,
+// and the streamed residual norm behind every RelativeErrorAgainst.
 //
 // Conventions (Kolda & Bader, "Tensor Decompositions and Applications"):
 //   * Unfold(X, n) is the I_n x (prod_{k != n} I_k) matricization with the
@@ -10,6 +11,7 @@
 #ifndef DTUCKER_TENSOR_TENSOR_OPS_H_
 #define DTUCKER_TENSOR_TENSOR_OPS_H_
 
+#include <functional>
 #include <vector>
 
 #include "linalg/blas.h"
@@ -56,8 +58,28 @@ Tensor ModeProductChain(const Tensor& x, const std::vector<Matrix>& matrices,
 // Kronecker product A (x) B: (ma*mb) x (na*nb).
 Matrix Kronecker(const Matrix& a, const Matrix& b);
 
-// Column-wise Khatri-Rao product: A and B must have equal column counts.
-Matrix KhatriRao(const Matrix& a, const Matrix& b);
+// One column-major block of X, paired with the same block of an
+// approximation Y that StreamedRelativeError's caller generates into its
+// scratch buffer (rows x cols, leading dimension rows).
+struct ResidualBlock {
+  const double* x;  // Top-left element of the block in X.
+  Index ldx;        // Leading dimension of X around the block.
+  Index rows;
+  Index cols;
+};
+
+// ||X - Y||_F^2 / ||X||_F^2 (0 when X is zero) with Y never materialized:
+// fill(b, scratch) writes block b of Y into `scratch` (room for
+// `scratch_doubles`) and returns the matching block of X. The blocks must
+// tile X, and the caller derives them from shapes alone. Blocks run on the
+// shared BLAS pool, each fill inside a BlasWorkerScope with its own
+// scratch; per-block sums of (x - y)^2 and x^2 are reduced in ascending
+// block order, so the result is bitwise identical for every
+// SetBlasThreads() value. The difference is formed directly, never as
+// ||X||^2 - 2<X, Y> + ||Y||^2, so no cancellation can occur.
+double StreamedRelativeError(
+    Index num_blocks, Index scratch_doubles,
+    const std::function<ResidualBlock(Index, double*)>& fill);
 
 }  // namespace dtucker
 

@@ -3,6 +3,7 @@
 #include <string>
 
 #include "linalg/blas.h"
+#include "linalg/gemm_kernel.h"
 #include "tensor/tensor_ops.h"
 
 namespace dtucker {
@@ -11,11 +12,13 @@ namespace {
 
 // Runs the ascending mode-product chain of TuckerDecomposition::
 // Reconstruct() with factor n restricted to row rows[n] (>= 0), or kept
-// whole (rows[n] == -1). Restriction only drops output elements of each
-// mode product; the per-element contraction order is untouched, so every
-// surviving element is bitwise identical to the full reconstruction's.
+// whole (rows[n] == -1). The chain stays on the calling thread: its
+// products are a few J x J slabs each, far too small to repay a hand-off
+// to the BLAS pool. The GEMM never splits a contraction across threads
+// (DESIGN.md §6), so the answer is the same at every thread count.
 Tensor ReconstructRestricted(const TuckerDecomposition& dec,
                              const std::vector<Index>& rows) {
+  BlasWorkerScope serial;
   Tensor out = dec.core;
   for (Index n = 0; n < dec.order(); ++n) {
     const Matrix& f = dec.factors[static_cast<std::size_t>(n)];

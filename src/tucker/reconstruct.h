@@ -6,14 +6,18 @@
 // examples, anomaly-scoring workflows, and the serving layer's factor-space
 // query API (serve/server.h).
 //
-// Bitwise contract: every entry point here computes its answer by running
-// the SAME ascending mode-product chain as TuckerDecomposition::
-// Reconstruct(), restricted to the requested factor rows. Restricting a
-// factor to a subset of rows only removes output elements from each mode
-// product — the per-element accumulation (k-ascending over the contracted
-// mode, the packed-GEMM contract from DESIGN.md §6) is unchanged — so the
-// returned values are bitwise identical to indexing the full
-// reconstruction. The serving tests pin this property.
+// Numerical contract: every entry point here runs the same ascending
+// mode-product chain as TuckerDecomposition::Reconstruct(), restricted to
+// the requested factor rows. What holds, and what the tests pin:
+//   * answers are bitwise repeatable, call after call;
+//   * answers are bitwise identical at every SetBlasThreads() value (the
+//     GEMM never splits a contraction across threads, DESIGN.md §6);
+//   * answers agree with indexing Reconstruct() to ~1e-11 relative (tested
+//     at 1e-10 of the reconstruction's largest magnitude).
+// They are NOT bitwise equal to indexing Reconstruct(): restricting a
+// factor to a few rows shrinks the GEMM's m or n, which routes the product
+// to the thin GEMM path instead of the packed micro-kernel, and the two
+// paths round the same k-sum differently (DESIGN.md §13).
 #ifndef DTUCKER_TUCKER_RECONSTRUCT_H_
 #define DTUCKER_TUCKER_RECONSTRUCT_H_
 

@@ -9,6 +9,16 @@
 
 namespace dtucker {
 
+namespace {
+
+// Elements of one row block of the streamed error (512 KiB of doubles):
+// the block holds max(1, kErrorBlockDoubles / I_N) rows of X's
+// (prod_{n<N} I_n) x I_N view. A function of the shape only, so the block
+// partition, and with it the result bits, never depends on the thread count.
+constexpr Index kErrorBlockDoubles = Index{1} << 16;
+
+}  // namespace
+
 std::vector<Index> TuckerDecomposition::Ranks() const {
   std::vector<Index> ranks;
   ranks.reserve(factors.size());
@@ -52,8 +62,31 @@ Tensor TuckerDecomposition::Reconstruct() const {
 }
 
 double TuckerDecomposition::RelativeErrorAgainst(const Tensor& x) const {
-  Tensor rec = Reconstruct();
-  return RelativeError(x, rec);
+  DT_CHECK_EQ(x.order(), order()) << "shape mismatch in RelativeErrorAgainst";
+  for (Index n = 0; n < order(); ++n) {
+    DT_CHECK_EQ(x.dim(n), factors[static_cast<std::size_t>(n)].rows())
+        << "shape mismatch in RelativeErrorAgainst at mode " << n;
+  }
+  // T = core x_1 A_1 ... x_{N-1} A_{N-1} is the column-major
+  // (prod_{n<N} I_n) x J_N matrix whose product with A_N^T is X^'s last-mode
+  // unfolding transposed, i.e. X^ viewed as (prod_{n<N} I_n) x I_N. Each row
+  // block of that view is one GEMM into a scratch of ~kErrorBlockDoubles,
+  // diffed against the same rows of X; X^ itself is never built.
+  const Index last = order() - 1;
+  const Tensor t = ModeProductChain(core, factors, /*skip_mode=*/last);
+  const Matrix& a_last = factors[static_cast<std::size_t>(last)];
+  const Index cols = a_last.rows();
+  const Index rows = x.size() / cols;
+  const Index block_rows = std::max<Index>(1, kErrorBlockDoubles / cols);
+  const Index num_blocks = (rows + block_rows - 1) / block_rows;
+  return StreamedRelativeError(
+      num_blocks, block_rows * cols, [&](Index b, double* y) {
+        const Index r0 = b * block_rows;
+        const Index m = std::min(block_rows, rows - r0);
+        GemmRaw(Trans::kNo, Trans::kYes, m, cols, a_last.cols(), 1.0,
+                t.data() + r0, rows, a_last.data(), cols, 0.0, y, m);
+        return ResidualBlock{x.data() + r0, rows, m, cols};
+      });
 }
 
 std::size_t TuckerDecomposition::ByteSize() const {

@@ -36,7 +36,11 @@ struct TuckerDecomposition {
   Tensor Reconstruct() const;
 
   // Relative squared reconstruction error against `x`:
-  // ||X - X^||_F^2 / ||X||_F^2.
+  // ||X - X^||_F^2 / ||X||_F^2, streamed without building X^. Allocates
+  // T = core x_1 A_1 ... x_{N-1} A_{N-1} (J_N / I_N of X's size) plus one
+  // row-block scratch of max(512 KiB, one row of I_N doubles) per worker.
+  // Bitwise identical for every SetBlasThreads() value (DESIGN.md §8);
+  // agrees with RelativeError(x, Reconstruct()) to roundoff, not bitwise.
   double RelativeErrorAgainst(const Tensor& x) const;
 
   // Logical bytes of core + factors (the space the paper's Q2/E3

@@ -1,6 +1,7 @@
 // Execution-control suite: cooperative cancellation, deadlines, and IO
 // fault injection across the D-Tucker phases (see DESIGN.md §10).
 #include <atomic>
+#include <cstdio>
 #include <thread>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "dtucker/dtucker.h"
 #include "dtucker/online_dtucker.h"
 #include "dtucker/out_of_core.h"
+#include "temp_path_util.h"
 #include "tucker/hosvd.h"
 #include "tucker/tucker_als.h"
 
@@ -282,10 +284,11 @@ TEST(CancelTest, OnlineInitializeHonorsCancelledContext) {
 class FaultInjectionTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/exec_control_faults.dtnsr";
+    path_ = UniqueTempPath(".dtnsr");
     tensor_ = MakeLowRankTensor({12, 10, 6}, {3, 3, 3}, 0.05, 11);
     ASSERT_TRUE(SaveTensor(tensor_, path_).ok());
   }
+  void TearDown() override { std::remove(path_.c_str()); }
 
   std::string path_;
   Tensor tensor_;

@@ -7,19 +7,16 @@
 #include "data/generators.h"
 #include "data/tensor_file.h"
 #include "data/tensor_io.h"
+#include "temp_path_util.h"
 
 namespace dtucker {
 namespace {
-
-std::string TempPath(const char* name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 class OutOfCoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
     x_ = MakeLowRankTensor({18, 15, 4, 3}, {3, 3, 2, 2}, 0.1, 1);
-    path_ = TempPath("ooc.dtnsr");
+    path_ = UniqueTempPath(".dtnsr");
     ASSERT_TRUE(SaveTensor(x_, path_).ok());
   }
   void TearDown() override { std::remove(path_.c_str()); }

@@ -2,13 +2,73 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/rng.h"
 #include "data/generators.h"
 #include "dtucker/dtucker.h"
+#include "largest_allocation_probe.h"
 #include "linalg/blas.h"
 
 namespace dtucker {
 namespace {
+
+// A slice approximation with Gaussian (not orthonormal) factors, positive
+// weights, and a per-slice rank cycling down from max_rank to 1.
+SliceApproximation RandomApproximation(const std::vector<Index>& shape,
+                                       Index max_rank, uint64_t seed) {
+  Rng rng(seed);
+  SliceApproximation approx;
+  approx.shape = shape;
+  approx.slice_rank = max_rank;
+  Index num_slices = 1;
+  for (std::size_t k = 2; k < shape.size(); ++k) num_slices *= shape[k];
+  for (Index l = 0; l < num_slices; ++l) {
+    const Index r = max_rank - l % max_rank;
+    SliceSvd sl;
+    sl.u = Matrix::GaussianRandom(shape[0], r, rng);
+    sl.v = Matrix::GaussianRandom(shape[1], r, rng);
+    for (Index j = 0; j < r; ++j) sl.s.push_back(rng.Uniform(0.5, 2.0));
+    approx.slices.push_back(std::move(sl));
+  }
+  return approx;
+}
+
+// The dense approximation, built slice by slice (the materialized oracle).
+Tensor DenseApproximation(const SliceApproximation& approx) {
+  Tensor out(approx.shape);
+  for (Index l = 0; l < approx.NumSlices(); ++l) {
+    out.SetFrontalSlice(l,
+                        approx.slices[static_cast<std::size_t>(l)].Reconstruct());
+  }
+  return out;
+}
+
+// Dense approximation plus noise * (Gaussian tensor).
+Tensor PerturbedDense(const SliceApproximation& approx, double noise,
+                      uint64_t seed) {
+  Tensor x = DenseApproximation(approx);
+  Rng rng(seed);
+  Tensor n = Tensor::GaussianRandom(x.shape(), rng);
+  n *= noise;
+  x += n;
+  return x;
+}
+
+bool BitEqual(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+struct StreamedSliceCase {
+  std::vector<Index> shape;
+  Index max_rank;
+};
+
+const StreamedSliceCase kStreamedSliceCases[] = {
+    {{20, 15, 10}, 4},      // Order 3.
+    {{10, 9, 3, 4}, 3},     // Order 4.
+    {{1, 7, 5}, 1},         // Size-1 leading mode, rank = dim.
+    {{6, 5, 1}, 5},         // One slice, rank = min(I1, I2).
+    {{9, 8, 1, 3, 2}, 2},   // Order 5 with a size-1 trailing mode.
+};
 
 TEST(SliceApproximationTest, RejectsMatrices) {
   Tensor x({5, 5});
@@ -217,6 +277,55 @@ TEST(SliceApproximationTest, NoisySlicesNearOptimal) {
   }
   const double rsvd_err = approx.value().RelativeErrorAgainst(x);
   EXPECT_LT(rsvd_err, (exact_err / total) * 1.1 + 1e-12);
+}
+
+TEST(SliceStreamedErrorTest, MatchesMaterializedOracle) {
+  uint64_t seed = 200;
+  for (const StreamedSliceCase& c : kStreamedSliceCases) {
+    const SliceApproximation approx =
+        RandomApproximation(c.shape, c.max_rank, ++seed);
+    for (double noise : {1e-3, 0.5}) {
+      const Tensor x = PerturbedDense(approx, noise, ++seed);
+      const double oracle = RelativeError(x, DenseApproximation(approx));
+      EXPECT_GT(oracle, 0.0);
+      EXPECT_NEAR(approx.RelativeErrorAgainst(x), oracle, 1e-12 * oracle)
+          << "order " << c.shape.size() << " noise " << noise;
+    }
+  }
+}
+
+TEST(SliceStreamedErrorTest, BitwiseIdenticalAcrossThreadCounts) {
+  for (const StreamedSliceCase& c : kStreamedSliceCases) {
+    const SliceApproximation approx = RandomApproximation(c.shape, c.max_rank, 41);
+    const Tensor x = PerturbedDense(approx, 0.1, 42);
+    SetBlasThreads(1);
+    const double serial = approx.RelativeErrorAgainst(x);
+    for (int threads : {2, 4}) {
+      SetBlasThreads(threads);
+      const double threaded = approx.RelativeErrorAgainst(x);
+      EXPECT_TRUE(BitEqual(threaded, serial))
+          << threads << " threads: " << threaded << " vs " << serial;
+    }
+    SetBlasThreads(1);
+  }
+}
+
+// The only buffer the size of a slice is the I1 x I2 scratch; nothing the
+// size of X is allocated.
+TEST(SliceStreamedErrorTest, AllocatesAtMostOneSlice) {
+  const SliceApproximation approx = RandomApproximation({40, 30, 6, 5}, 4, 51);
+  const Tensor x = PerturbedDense(approx, 0.1, 52);
+  const std::size_t slice_bytes = 40 * 30 * sizeof(double);
+  for (int threads : {1, 4}) {
+    SetBlasThreads(threads);
+    LargestAllocationProbe::Arm();
+    const double err = approx.RelativeErrorAgainst(x);
+    const std::size_t largest = LargestAllocationProbe::Disarm();
+    EXPECT_GT(err, 0.0);
+    EXPECT_GT(largest, 0u);
+    EXPECT_LE(largest, slice_bytes) << threads << " threads";
+  }
+  SetBlasThreads(1);
 }
 
 }  // namespace

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+
 #include "common/rng.h"
 #include "data/generators.h"
+#include "largest_allocation_probe.h"
 #include "linalg/blas.h"
 #include "tensor/tensor_ops.h"
 #include "tucker/hosvd.h"
@@ -11,6 +16,33 @@
 
 namespace dtucker {
 namespace {
+
+// Gaussian core and Gaussian (not orthonormalized) factors.
+TuckerDecomposition RandomDecomposition(const std::vector<Index>& dims,
+                                        const std::vector<Index>& ranks,
+                                        uint64_t seed) {
+  Rng rng(seed);
+  TuckerDecomposition dec;
+  dec.core = Tensor::GaussianRandom(ranks, rng);
+  for (std::size_t n = 0; n < dims.size(); ++n) {
+    dec.factors.push_back(Matrix::GaussianRandom(dims[n], ranks[n], rng));
+  }
+  return dec;
+}
+
+// X = X^ + noise * (Gaussian tensor): a target the decomposition fits to
+// about noise^2 relative error.
+Tensor PerturbedReconstruction(const TuckerDecomposition& dec, double noise,
+                               uint64_t seed) {
+  Tensor x = dec.Reconstruct();
+  Rng rng(seed);
+  Tensor n = Tensor::GaussianRandom(x.shape(), rng);
+  n *= noise * std::sqrt(x.SquaredNorm() / static_cast<double>(x.size()));
+  x += n;
+  return x;
+}
+
+bool BitEqual(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
 TEST(TuckerDecompositionTest, ReconstructExactForFullRank) {
   Rng rng(1);
@@ -217,6 +249,88 @@ TEST_P(TuckerRankSweepTest, ErrorShrinksWithRank) {
 
 INSTANTIATE_TEST_SUITE_P(Ranks, TuckerRankSweepTest,
                          ::testing::Values(2, 4, 6));
+
+// The streamed RelativeErrorAgainst against the materialized oracle
+// RelativeError(x, Reconstruct()). {70, 60, 50} has 4200 rows of 50 in the
+// (prod_{n<N} I_n) x I_N view, so 1310-row blocks leave a 270-row tail.
+struct StreamedErrorCase {
+  std::vector<Index> dims;
+  std::vector<Index> ranks;
+};
+
+const StreamedErrorCase kStreamedErrorCases[] = {
+    {{37, 29}, {5, 7}},                   // Order 2.
+    {{1, 13, 9}, {1, 4, 3}},              // Size-1 leading mode.
+    {{12, 9, 1}, {4, 3, 1}},              // Size-1 last mode.
+    {{6, 5, 4}, {6, 5, 4}},               // Rank = dim.
+    {{9, 8, 7, 6}, {3, 4, 2, 5}},         // Order 4.
+    {{70, 60, 50}, {5, 6, 7}},            // Several blocks plus a tail.
+    {{3, 2, 70000}, {2, 2, 3}},           // I_N > block: one-row blocks.
+};
+
+TEST(StreamedErrorTest, MatchesMaterializedOracle) {
+  uint64_t seed = 100;
+  for (const StreamedErrorCase& c : kStreamedErrorCases) {
+    const TuckerDecomposition dec = RandomDecomposition(c.dims, c.ranks, ++seed);
+    for (double noise : {1e-3, 0.3}) {
+      const Tensor x = PerturbedReconstruction(dec, noise, ++seed);
+      const double oracle = RelativeError(x, dec.Reconstruct());
+      const double streamed = dec.RelativeErrorAgainst(x);
+      EXPECT_GT(oracle, 0.0);
+      EXPECT_NEAR(streamed, oracle, 1e-12 * oracle)
+          << "shape order " << c.dims.size() << " noise " << noise;
+    }
+    // An unrelated target: error near 1 + ||X^||^2 / ||X||^2.
+    Rng rng(++seed);
+    const Tensor y = Tensor::GaussianRandom(c.dims, rng);
+    const double oracle = RelativeError(y, dec.Reconstruct());
+    EXPECT_NEAR(dec.RelativeErrorAgainst(y), oracle, 1e-12 * oracle);
+  }
+}
+
+TEST(StreamedErrorTest, ZeroTargetReportsZero) {
+  const TuckerDecomposition dec = RandomDecomposition({5, 4, 3}, {2, 2, 2}, 7);
+  EXPECT_EQ(dec.RelativeErrorAgainst(Tensor({5, 4, 3})), 0.0);
+}
+
+TEST(StreamedErrorTest, BitwiseIdenticalAcrossThreadCounts) {
+  for (const StreamedErrorCase& c : kStreamedErrorCases) {
+    const TuckerDecomposition dec = RandomDecomposition(c.dims, c.ranks, 21);
+    const Tensor x = PerturbedReconstruction(dec, 0.05, 22);
+    SetBlasThreads(1);
+    const double serial = dec.RelativeErrorAgainst(x);
+    for (int threads : {2, 4}) {
+      SetBlasThreads(threads);
+      const double threaded = dec.RelativeErrorAgainst(x);
+      EXPECT_TRUE(BitEqual(threaded, serial))
+          << threads << " threads: " << threaded << " vs " << serial;
+    }
+    SetBlasThreads(1);
+  }
+}
+
+// No single allocation inside RelativeErrorAgainst exceeds the larger of
+// T = core x_1 A_1 ... x_{N-1} A_{N-1} and one 64 Ki-double row block —
+// in particular nothing the size of X is ever allocated.
+TEST(StreamedErrorTest, AllocatesNothingTensorSized) {
+  const std::vector<Index> dims = {70, 60, 50};
+  const TuckerDecomposition dec = RandomDecomposition(dims, {5, 6, 7}, 31);
+  const Tensor x = PerturbedReconstruction(dec, 0.05, 32);
+  const std::size_t t_bytes = 70 * 60 * 7 * sizeof(double);
+  const std::size_t block_bytes = (65536 / 50) * 50 * sizeof(double);
+  const std::size_t bound = std::max(t_bytes, block_bytes);
+  ASSERT_LT(bound, x.ByteSize() / 3);
+  for (int threads : {1, 4}) {
+    SetBlasThreads(threads);
+    LargestAllocationProbe::Arm();
+    const double err = dec.RelativeErrorAgainst(x);
+    const std::size_t largest = LargestAllocationProbe::Disarm();
+    EXPECT_GT(err, 0.0);
+    EXPECT_GT(largest, 0u);
+    EXPECT_LE(largest, bound) << threads << " threads";
+  }
+  SetBlasThreads(1);
+}
 
 }  // namespace
 }  // namespace dtucker
